@@ -48,7 +48,8 @@ func NewReaderWithID(id uint64) *Reader { return rwl.NewReaderWithID(id) }
 type Lock = core.Lock
 
 // Table is a visible readers table; all locks in a process share one by
-// default (32KB for the paper's 4096 slots).
+// default: the paper's 4096 slots (32KB) in the BRAVO-2D layout of §7, 16
+// rows of 256, so a writer's revocation scans one 16-slot column.
 type Table = bias.Table
 
 // Option configures a Lock at construction.
@@ -76,20 +77,24 @@ const DefaultInhibitN = bias.DefaultInhibitN
 func New(under RWLock, opts ...Option) *Lock { return core.New(under, opts...) }
 
 // NewTable allocates a private flat visible readers table (size must be a
-// power of two). Most programs should use the shared default instead.
+// power of two): Listing 1's layout, where a revocation scans every slot.
+// Most programs should use the shared default instead.
 func NewTable(size int) *Table { return bias.NewTable(size) }
 
-// NewTable2D allocates a BRAVO-2D sectored table: rows selected by thread,
-// columns by lock, with column-only revocation scans (paper §7).
+// NewTable2D allocates a BRAVO-2D sectored table: a hash of the reader
+// identity selects the row (the paper uses the CPU id, which Go does not
+// expose cheaply), a hash of the lock selects the column, and a revocation
+// scans one column (paper §7).
 func NewTable2D(rows, rowLen int) *Table { return bias.NewTable2D(rows, rowLen) }
 
-// SharedTable returns the process-wide default table.
+// SharedTable returns the process-wide default table (BRAVO-2D, 4096
+// slots).
 func SharedTable() *Table { return bias.SharedTable() }
 
 // Configuration options (see the paper sections noted on each).
 var (
 	// WithTable directs the lock at a specific table (§5.1's idealized
-	// per-lock-table variant, or a 2D table).
+	// per-lock-table variant, or Listing 1's flat table).
 	WithTable = core.WithTable
 	// WithPolicy installs a bias-enabling policy.
 	WithPolicy = core.WithPolicy

@@ -100,7 +100,7 @@ func NewShardedKVReport(cfg Config, results []ShardedKVResult) ShardedKVReport {
 // plain "bravo-<substrate>" names it rebuilds the BRAVO wrapper around the
 // registered substrate with stats attached, so the report can include the
 // fast-path hit rate (stats stay nil — and the fraction -1 — for plain
-// locks and for BRAVO ablation variants like bravo-ba-2d, which keep their
+// locks and for BRAVO ablation variants like bravo-ba-flat, which keep their
 // registry construction).
 func shardedKVFactory(lockName string) (mk rwl.Factory, stats *bias.Stats, err error) {
 	if under, ok := strings.CutPrefix(lockName, "bravo-"); ok {

@@ -26,7 +26,8 @@ const DefaultTableSize = 4096
 
 // DefaultRowLen is the BRAVO-2D sector length: the paper's preferred
 // embodiment partitions the table into contiguous rows of 256 slots aligned
-// on cache-sector boundaries (§7).
+// on cache-sector boundaries (§7). The shared table splits its
+// DefaultTableSize slots into rows of this length.
 const DefaultRowLen = 256
 
 // Table is a visible readers table. Each slot is either zero or the
@@ -55,8 +56,15 @@ type Table struct {
 	rowLen uint32
 }
 
-// shared is the process-wide default table (Listing 1's VisibleReaders).
-var shared = NewTable(DefaultTableSize)
+// shared is the process-wide default table (Listing 1's VisibleReaders) in
+// the BRAVO-2D layout the paper prefers (§7): 16 rows of DefaultRowLen
+// slots, the same 4096 slots and 32KB as the flat table, but a revocation
+// scans one 16-slot column instead of all 4096 slots. Rows are picked by
+// hashing the reader identity, so two handles can share a row; 16 rows
+// beat 64×64 on revocation cost and fast-read share in the measured
+// geometry sweep (CHANGES.md). The flat layout stays available through
+// NewTable for callers that need Listing 1 exactly.
+var shared = NewTable2D(DefaultTableSize/DefaultRowLen, DefaultRowLen)
 
 // SharedTable returns the process-wide visible readers table that locks use
 // unless configured otherwise.
@@ -76,9 +84,9 @@ func NewTable(size int) *Table {
 }
 
 // NewTable2D returns a BRAVO-2D sectored table with rows rows of rowLen
-// slots each. Readers select a row by CPU identity and a column by lock
-// hash; revocation scans a single column. Both dimensions must be positive
-// powers of two.
+// slots each. A hash of the reader identity selects the row and a hash of
+// the lock selects the column; revocation scans a single column. Both
+// dimensions must be positive powers of two.
 func NewTable2D(rows, rowLen int) *Table {
 	if rows <= 0 || rows&(rows-1) != 0 || rowLen <= 0 || rowLen&(rowLen-1) != 0 {
 		panic(fmt.Sprintf("bias: 2D table geometry %dx%d is not power-of-two", rows, rowLen))
@@ -102,10 +110,11 @@ func (t *Table) Sectored() bool { return t.rows != 0 }
 // Hash(L, Self) of Listing 1 line 13.
 func (t *Table) Index(lockID uintptr, selfID uint64) uint32 {
 	if t.rows != 0 {
-		// BRAVO-2D: the caller's CPU picks the row, the lock picks the
-		// column (§7: "use the caller's CPUID to identify a sector, and
+		// BRAVO-2D: the reader identity picks the row, the lock picks the
+		// column. §7 uses "the caller's CPUID to identify a sector, and
 		// then a hash function on the lock address to identify a slot
-		// within that sector").
+		// within that sector"; Go has no cheap CPU id, so the row is a
+		// hash of the reader identity and two readers may share a row.
 		row := uint32(hash.Mix64(selfID)) & (t.rows - 1)
 		col := t.column(lockID)
 		return row*t.rowLen + col

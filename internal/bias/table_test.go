@@ -40,11 +40,110 @@ func TestNewTable2DValidation(t *testing.T) {
 }
 
 func TestSharedTableGeometry(t *testing.T) {
-	if SharedTable().Size() != DefaultTableSize {
-		t.Fatalf("shared table has %d slots, want %d (paper §3)", SharedTable().Size(), DefaultTableSize)
+	tab := SharedTable()
+	rows := DefaultTableSize / DefaultRowLen
+	if tab.Size() != DefaultTableSize {
+		t.Fatalf("shared table has %d slots, want %d (paper §3)", tab.Size(), DefaultTableSize)
 	}
-	if SharedTable().Sectored() {
-		t.Fatal("shared table must use the flat Listing 1 layout")
+	if !tab.Sectored() || int(tab.rows) != rows || tab.rowLen != DefaultRowLen {
+		t.Fatalf("shared table geometry %dx%d (sectored=%v), want BRAVO-2D %dx%d",
+			tab.rows, tab.rowLen, tab.Sectored(), rows, DefaultRowLen)
+	}
+	// A revocation on a default-table engine scans one column, not the
+	// table.
+	e, st := biasedEngine(t, onShared)
+	e.Revoke()
+	if got := st.RevokeScanned.Load(); got != uint64(rows) {
+		t.Fatalf("revocation scanned %d slots, want one column of %d", got, rows)
+	}
+}
+
+// onShared points a test engine at the process-wide default table.
+func onShared(e *Engine) { e.SetTable(SharedTable()) }
+
+// sameRowIDs returns two reader identities that the shared table places
+// in one row. A lock's column is fixed, so the two then share that lock's
+// slot.
+func sameRowIDs(t *testing.T, lockID uintptr) (a, b uint64) {
+	t.Helper()
+	tab := SharedTable()
+	home := tab.Index(lockID, 1)
+	for id := uint64(2); id < 1<<12; id++ {
+		if tab.Index(lockID, id) == home {
+			return 1, id
+		}
+	}
+	t.Fatal("no identity shares a row with identity 1")
+	return 0, 0
+}
+
+// TestSharedTableRowmatesCollide pins how two handles whose identities
+// hash to one row share a lock: the second diverts, stays diverted for the
+// rest of the bias epoch even once the slot is free, and gets its home
+// slot back after a revoke and re-enable.
+func TestSharedTableRowmatesCollide(t *testing.T) {
+	e, st := biasedEngine(t, onShared)
+	a, b := sameRowIDs(t, e.ID())
+	r1, r2 := NewReaderWithID(a), NewReaderWithID(b)
+	home := SharedTable().Index(e.ID(), b)
+
+	tok1, ok := e.TryFastH(r1)
+	if !ok || tok1.Index() != home {
+		t.Fatalf("first handle: ok=%v slot=%d, want fast at %d", ok, tok1.Index(), home)
+	}
+	if _, ok := e.TryFastH(r2); ok {
+		t.Fatal("rowmate published into an occupied slot")
+	}
+	if _, diverted, _ := r2.CachedSlot(e); !diverted {
+		t.Fatal("colliding handle did not divert")
+	}
+	e.ReleaseFastAt(r1, tok1)
+	if _, ok := e.TryFastH(r2); ok {
+		t.Fatal("diverted handle retried its home slot within the same bias epoch")
+	}
+
+	e.Revoke()
+	e.MaybeEnable()
+	tok2, ok := e.TryFastH(r2)
+	if !ok || tok2.Index() != home {
+		t.Fatalf("after re-enable: ok=%v slot=%d, want fast at home %d", ok, tok2.Index(), home)
+	}
+	e.ReleaseFastAt(r2, tok2)
+	if n := st.SlowCollision.Load(); n != 2 {
+		t.Fatalf("collisions = %d, want 2: %s", n, st.Snapshot())
+	}
+	if SharedTable().Load(home) != 0 {
+		t.Fatal("shared slot left occupied")
+	}
+}
+
+// TestSharedTableStaleTokenPanicsAfterRowmateRepublishes is the generation
+// guard on the 2D layout: a released token replayed after a rowmate has
+// published the same lock in the same slot must still panic in ClearOwned,
+// and the rowmate's live token must still release.
+func TestSharedTableStaleTokenPanicsAfterRowmateRepublishes(t *testing.T) {
+	e, _ := biasedEngine(t, onShared)
+	a, b := sameRowIDs(t, e.ID())
+	stale, ok := e.TryFast(a)
+	if !ok {
+		t.Fatal("first publication failed")
+	}
+	e.ClearFast(stale)
+	live, ok := e.TryFast(b)
+	if !ok || live.Index() != stale.Index() {
+		t.Fatalf("rowmate: ok=%v slot=%d, want slot %d", ok, live.Index(), stale.Index())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("stale token released a slot its rowmate republished")
+			}
+		}()
+		e.ClearFast(stale)
+	}()
+	e.ClearFast(live)
+	if SharedTable().Load(live.Index()) != 0 {
+		t.Fatal("live token did not release its slot")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"github.com/bravolock/bravo/internal/bias"
 	"github.com/bravolock/bravo/internal/lockcheck"
 	"github.com/bravolock/bravo/internal/locks/pfq"
+	"github.com/bravolock/bravo/internal/locks/stdrw"
 	"github.com/bravolock/bravo/internal/rwl"
 )
 
@@ -302,6 +303,26 @@ func TestUnbalancedAnonymousRUnlockDetected(t *testing.T) {
 			return New(new(pfq.Lock), WithTable(tab), WithPolicy(bias.AlwaysPolicy{}))
 		})
 	})
+}
+
+func TestHandleBatteriesOnDefaultTable(t *testing.T) {
+	// The shared default table is BRAVO-2D and hashes the reader identity
+	// to pick a row, so with twice as many reader handles as rows some
+	// handles are rowmates that share every lock's slot.
+	readers := 2 * bias.DefaultTableSize / bias.DefaultRowLen
+	for name, mk := range map[string]func() rwl.HandleRWLock{
+		"bravo-ba":   func() rwl.HandleRWLock { return New(new(pfq.Lock), WithPolicy(bias.AlwaysPolicy{})) },
+		"bravo-go":   func() rwl.HandleRWLock { return New(new(stdrw.Lock), WithPolicy(bias.AlwaysPolicy{})) },
+		"default-ba": func() rwl.HandleRWLock { return New(new(pfq.Lock)) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			if l := mk().(*Lock); l.TableInUse() != bias.SharedTable() {
+				t.Fatal("lock does not publish into the shared default table")
+			}
+			lockcheck.HandleExclusion(t, mk, readers, 2, 1200)
+			lockcheck.UnbalancedRUnlock(t, mk())
+		})
+	}
 }
 
 func TestHandleWorksOn2DTable(t *testing.T) {

@@ -16,34 +16,40 @@ import (
 
 // Storms drive the full lockcheck battery through every BRAVO variant: the
 // combination of fast-path readers, slow-path readers, revocation, and the
-// underlying lock's own admission machinery is where the races live.
+// underlying lock's own admission machinery is where the races live. The
+// registry-named variants publish into the shared default table (BRAVO-2D),
+// as the registry's locks do; bravo-ba-flat is Listing 1's flat layout.
 
 func stormVariants() map[string]func() rwl.RWLock {
 	return map[string]func() rwl.RWLock{
 		"bravo-ba": func() rwl.RWLock {
-			return New(new(pfq.Lock), WithTable(bias.NewTable(bias.DefaultTableSize)))
+			return New(new(pfq.Lock))
 		},
 		"bravo-pf-t": func() rwl.RWLock {
-			return New(new(pft.Lock), WithTable(bias.NewTable(bias.DefaultTableSize)))
+			return New(new(pft.Lock))
 		},
 		"bravo-pthread": func() rwl.RWLock {
-			return New(ptl.New(), WithTable(bias.NewTable(bias.DefaultTableSize)))
+			return New(ptl.New())
 		},
 		"bravo-go": func() rwl.RWLock {
-			return New(new(stdrw.Lock), WithTable(bias.NewTable(bias.DefaultTableSize)))
+			return New(new(stdrw.Lock))
 		},
 		"bravo-mutex": func() rwl.RWLock {
-			return New(new(mutexrw.Lock), WithTable(bias.NewTable(bias.DefaultTableSize)))
+			return New(new(mutexrw.Lock))
 		},
 		"bravo-ba-aggressive": func() rwl.RWLock {
 			// AlwaysPolicy maximizes bias flapping and revocation frequency.
-			return New(new(pfq.Lock), WithTable(bias.NewTable(bias.DefaultTableSize)), WithPolicy(bias.AlwaysPolicy{}))
+			return New(new(pfq.Lock), WithPolicy(bias.AlwaysPolicy{}))
+		},
+		"bravo-ba-flat": func() rwl.RWLock {
+			return New(new(pfq.Lock), WithTable(bias.NewTable(bias.DefaultTableSize)))
 		},
 		"bravo-ba-tiny-table": func() rwl.RWLock {
 			// A 2-slot table maximizes collisions and slow-path mixing.
 			return New(new(pfq.Lock), WithTable(bias.NewTable(2)), WithPolicy(bias.AlwaysPolicy{}))
 		},
 		"bravo-ba-2d": func() rwl.RWLock {
+			// A small 8×32 geometry, so the storm's readers often share a row.
 			return New(new(pfq.Lock), WithTable(bias.NewTable2D(8, 32)), WithPolicy(bias.AlwaysPolicy{}))
 		},
 		"bravo-ba-probe2": func() rwl.RWLock {

@@ -22,6 +22,14 @@ import (
 // admission.
 func Exclusion(t *testing.T, mk func() rwl.RWLock, readers, writers, iters int) {
 	t.Helper()
+	exclusion(t, mk, readers, writers, iters, nil)
+}
+
+// exclusion is Exclusion with a hook that, when set, runs inside every
+// critical section after the admission check; a test can hold sections
+// open with it to force an overlap.
+func exclusion(t *testing.T, mk func() rwl.RWLock, readers, writers, iters int, inside func(writer bool)) {
+	t.Helper()
 	l := mk()
 	var state atomic.Int64 // readers·256 + writers
 	var violations atomic.Int64
@@ -36,6 +44,9 @@ func Exclusion(t *testing.T, mk func() rwl.RWLock, readers, writers, iters int) 
 				tok := l.RLock()
 				if state.Add(256)&0xff != 0 {
 					violations.Add(1)
+				}
+				if inside != nil {
+					inside(false)
 				}
 				if rng.Intn(8) == 0 {
 					runtime.Gosched()
@@ -54,6 +65,9 @@ func Exclusion(t *testing.T, mk func() rwl.RWLock, readers, writers, iters int) 
 				l.Lock()
 				if state.Add(1) != 1 {
 					violations.Add(1)
+				}
+				if inside != nil {
+					inside(true)
 				}
 				if rng.Intn(4) == 0 {
 					runtime.Gosched()

@@ -1,6 +1,7 @@
 package lockcheck
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -87,13 +88,25 @@ func TestNeverToleratesFalseCond(t *testing.T) {
 // TestExclusionDetectsViolations runs the detector's occupancy accounting
 // against a deliberately broken "lock" that admits everyone, on a separate
 // probe testing.T (and its own goroutine, since Fatalf ends in Goexit) so
-// the expected failure does not fail this test.
+// the expected failure does not fail this test. The first reader and the
+// first writer section each wait inside until the other has entered, so
+// the two overlap however the scheduler runs the storm: whichever entered
+// second saw the first in the occupancy word.
 func TestExclusionDetectsViolations(t *testing.T) {
 	probe := &testing.T{}
+	var readerIn, writerIn sync.Once
+	rIn, wIn := make(chan struct{}), make(chan struct{})
+	inside := func(writer bool) {
+		if writer {
+			writerIn.Do(func() { close(wIn); <-rIn })
+		} else {
+			readerIn.Do(func() { close(rIn); <-wIn })
+		}
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		Exclusion(probe, func() rwl.RWLock { return brokenLock{} }, 4, 2, 500)
+		exclusion(probe, func() rwl.RWLock { return brokenLock{} }, 4, 2, 500, inside)
 	}()
 	<-done
 	if !probe.Failed() {

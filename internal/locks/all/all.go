@@ -8,7 +8,7 @@
 //
 //	ba, pf-t, pthread, per-cpu, cohort-rw, mutex, go-rw, fair,
 //	bravo-ba, bravo-pf-t, bravo-pthread, bravo-mutex, bravo-go,
-//	bravo-ba-2d, bravo-ba-private, bravo-ba-probe2, bravo-ba-revmu,
+//	bravo-ba-flat, bravo-ba-private, bravo-ba-probe2, bravo-ba-revmu,
 //	bravo-ba-random, adaptive-go, adaptive-ba
 package all
 
@@ -34,6 +34,9 @@ import (
 // locks if the host shape is preferred.
 var Topo = topo.X52
 
+// flatShared is the process-wide flat table of the bravo-ba-flat locks.
+var flatShared = bias.NewTable(bias.DefaultTableSize)
+
 func init() {
 	// Underlying (plain) locks.
 	rwl.Register("ba", func() rwl.RWLock { return new(pfq.Lock) })
@@ -53,15 +56,11 @@ func init() {
 	rwl.Register("bravo-go", func() rwl.RWLock { return core.New(new(stdrw.Lock)) })
 
 	// BRAVO variants used by ablations and by Figure 1's idealized
-	// per-lock-table form ("BRAVO-BA-Prime").
-	rwl.Register("bravo-ba-2d", func() rwl.RWLock {
-		rows := Topo.NumCPUs()
-		// Round rows up to a power of two for the sectored geometry.
-		p := 1
-		for p < rows {
-			p <<= 1
-		}
-		return core.New(new(pfq.Lock), core.WithTable(bias.NewTable2D(p, bias.DefaultRowLen)))
+	// per-lock-table form ("BRAVO-BA-Prime"). The default table is
+	// BRAVO-2D; bravo-ba-flat is Listing 1 exactly: every such lock
+	// shares one flat table, and a revocation scans all of its slots.
+	rwl.Register("bravo-ba-flat", func() rwl.RWLock {
+		return core.New(new(pfq.Lock), core.WithTable(flatShared))
 	})
 	rwl.Register("bravo-ba-private", func() rwl.RWLock {
 		return core.New(new(pfq.Lock), core.WithTable(bias.NewTable(bias.DefaultTableSize)))

@@ -11,7 +11,7 @@ import (
 var expected = []string{
 	"ba", "pf-t", "pthread", "per-cpu", "cohort-rw", "mutex", "go-rw",
 	"bravo-ba", "bravo-pf-t", "bravo-pthread", "bravo-mutex", "bravo-go",
-	"bravo-ba-2d", "bravo-ba-private", "bravo-ba-probe2", "bravo-ba-revmu",
+	"bravo-ba-flat", "bravo-ba-private", "bravo-ba-probe2", "bravo-ba-revmu",
 	"bravo-ba-random",
 }
 

@@ -65,6 +65,12 @@ type cutWriter struct {
 
 func (w *cutWriter) Write(p []byte) (int, error) {
 	if w.budget <= 0 {
+		// Commit the status line and headers before the cut (Flush sends
+		// them if nothing has been written yet). A response that dies
+		// before its first byte is one net/http's Transport may silently
+		// retry on a fresh connection for an idempotent GET, and the
+		// follower would never see the cut at body byte 0.
+		w.Flush()
 		panic(http.ErrAbortHandler)
 	}
 	if int64(len(p)) > w.budget {
